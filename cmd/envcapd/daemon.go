@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"envmon/internal/lifecycle"
 	"envmon/internal/obs"
 	"envmon/internal/powercap"
 	"envmon/internal/telemetry/client"
@@ -163,31 +163,24 @@ func (d *capDaemon) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // run steps the control loop every interval and serves HTTP until ctx is
 // cancelled, then drains.
 func (d *capDaemon) run(ctx context.Context) error {
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-
-	ticker := time.NewTicker(d.cfg.interval)
-	defer ticker.Stop()
-	var err error
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case err = <-srvErr:
-			break loop
-		case <-ticker.C:
-			d.step(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		ticker := time.NewTicker(d.cfg.interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				d.step(ctx)
+			}
 		}
-	}
-	if err == nil {
-		sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(sdCtx)
+	}()
+	return lifecycle.Serve(ctx, d.srv, d.ln, func() {
 		cancel()
-		err = <-srvErr
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+		<-loopDone
+	})
 }

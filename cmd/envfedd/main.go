@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -38,7 +37,9 @@ import (
 	"time"
 
 	"envmon/internal/federation"
+	"envmon/internal/lifecycle"
 	"envmon/internal/obs"
+	"envmon/internal/telemetry/httpapi"
 )
 
 // config carries every envfedd knob, so the daemon is constructible from
@@ -61,6 +62,7 @@ type fedDaemon struct {
 	cfg config
 	fed *federation.Federator
 	reg *obs.Registry
+	api *httpapi.Server
 	srv *http.Server
 	ln  net.Listener
 }
@@ -88,6 +90,7 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 	}
 	d := &fedDaemon{cfg: cfg, fed: fed, reg: obs.NewRegistry()}
 	api := federation.NewServer(fed)
+	d.api = api
 	api.DefaultDeadline = cfg.queryDeadline
 	api.Instrument(d.reg)
 	if cfg.accessLog {
@@ -109,25 +112,10 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 // Addr reports the bound listen address.
 func (d *fedDaemon) Addr() string { return d.ln.Addr().String() }
 
-// run serves until ctx is cancelled, then drains.
+// run serves until ctx is cancelled, then drains, turning queries that
+// race the drain away with a 503.
 func (d *fedDaemon) run(ctx context.Context) error {
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-	var err error
-	select {
-	case <-ctx.Done():
-	case err = <-srvErr:
-	}
-	if err == nil {
-		sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(sdCtx)
-		cancel()
-		err = <-srvErr
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return lifecycle.Serve(ctx, d.srv, d.ln, d.api.StartClosing)
 }
 
 func main() {

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -17,6 +16,7 @@ import (
 	"envmon/internal/core"
 	"envmon/internal/envdb"
 	"envmon/internal/faults"
+	"envmon/internal/lifecycle"
 	"envmon/internal/obs"
 	"envmon/internal/resilience"
 	"envmon/internal/telemetry"
@@ -392,38 +392,26 @@ func (d *daemon) run(ctx context.Context) error {
 		}
 	}()
 
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-	if d.debugSrv != nil {
-		go func() {
-			if e := d.debugSrv.Serve(d.debugLn); e != nil && !errors.Is(e, http.ErrServerClosed) {
-				d.cfg.logf("envmond: debug server: %v", e)
-			}
-		}()
-	}
-
-	var err error
-	select {
-	case <-ctx.Done():
-	case err = <-srvErr:
+	// The debug listener stops with ctx, beside the API server's drain.
+	dbgDone := make(chan struct{})
+	go func() {
+		defer close(dbgDone)
+		if d.debugSrv == nil {
+			return
+		}
+		if e := lifecycle.Serve(ctx, d.debugSrv, d.debugLn, nil); e != nil {
+			d.cfg.logf("envmond: debug server: %v", e)
+		}
+	}()
+	err := lifecycle.Serve(ctx, d.srv, d.ln, func() {
 		cancel()
-	}
-	// From here on the store is headed for Close: answer data-plane
-	// requests racing the drain with an explicit 503 instead of letting
-	// them hang in Shutdown or hit a half-closed store.
-	d.api.StartClosing()
-	<-advDone
-	if err == nil {
-		shutdownCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(shutdownCtx)
-		sdCancel()
-		err = <-srvErr
-	}
-	if d.debugSrv != nil {
-		dbgCtx, dbgCancel := context.WithTimeout(context.Background(), time.Second)
-		_ = d.debugSrv.Shutdown(dbgCtx)
-		dbgCancel()
-	}
+		// From here on the store is headed for Close: answer data-plane
+		// requests racing the drain with an explicit 503 instead of
+		// letting them hang in Shutdown or hit a half-closed store.
+		d.api.StartClosing()
+		<-advDone
+	})
+	<-dbgDone
 	// The loop is parked and no domain is advancing: one final flush
 	// drains everything the samplers staged since the last barrier.
 	d.flush()
@@ -438,10 +426,7 @@ func (d *daemon) run(ctx context.Context) error {
 		}
 	}
 	d.store.Close()
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return err
 }
 
 // flush moves every cursor's backlog into the store. Call only with the

@@ -72,7 +72,6 @@ const (
 	BoardsPerMidplane = 16
 	NodesPerBoard     = 32
 	NodesPerRack      = MidplanesPerRack * BoardsPerMidplane * NodesPerBoard // 1024
-	CoresPerNode      = 16                                                   // application cores on the A2
 	MiraRacks         = 48
 )
 

@@ -207,16 +207,6 @@ type Sensor interface {
 	Read(now time.Duration) (Reading, error)
 }
 
-// Device is a piece of hardware with sensors and an access mechanism.
-type Device interface {
-	// Name identifies the device instance (e.g. "mic0", "R00-M0-N04").
-	Name() string
-	// Platform reports which vendor mechanism the device belongs to.
-	Platform() Platform
-	// Sensors lists the device's sensors in a stable order.
-	Sensors() []Sensor
-}
-
 // Collector is a mechanism for gathering a batch of environmental data from
 // a device: an API, a daemon pseudo-file, a register read. Collectors are
 // what MonEQ polls; their per-query cost is the paper's central overhead
@@ -242,10 +232,6 @@ type Collector interface {
 	// NVML's internal update cadence, the SMC refresh for the Phi paths).
 	MinInterval() time.Duration
 }
-
-// ErrNotSupported is returned when a metric/component combination is not
-// available on a platform (an ✗ cell of Table I).
-var ErrNotSupported = errors.New("core: capability not supported on this platform")
 
 // ErrPermission is returned by access paths that require elevated
 // privileges (e.g. reading /dev/cpu/*/msr without root).

@@ -2,10 +2,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"envmon/internal/obs"
@@ -13,260 +9,46 @@ import (
 	"envmon/internal/telemetry/httpapi"
 )
 
-// Server serves a Federator over HTTP with the same wire types as a
-// single envmond daemon — /healthz, /query, and /topk answer the same
-// documents (plus the degraded section on partial results), so existing
-// clients (envtop -remote) work unmodified. /members is the
-// federation-only endpoint listing every downstream daemon's breaker
-// position. It implements http.Handler.
-type Server struct {
-	fed *Federator
-	mux *http.ServeMux
-
-	// DefaultDeadline bounds a query's whole fan-out when the request
-	// carries no deadline_ms (0 = member deadlines alone bound it). A
-	// wiring-time setting.
-	DefaultDeadline time.Duration
-
-	o         *serverObs
-	accessLog func(method, path string, status int, d time.Duration, bytes int64)
-}
-
-type serverObs struct {
-	requests map[string]*obs.Counter
-	latency  map[string]*obs.Histogram
-}
-
-var fedEndpoints = []string{"healthz", "query", "topk", "members", "metrics", "other"}
-
-func fedEndpointLabel(path string) string {
-	switch path {
-	case "/healthz", "/query", "/topk", "/members", "/metrics":
-		return path[1:]
-	default:
-		return "other"
-	}
-}
-
-// NewServer returns a server over fed.
-func NewServer(fed *Federator) *Server {
-	s := &Server{fed: fed, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/topk", s.handleTopK)
-	s.mux.HandleFunc("/members", s.handleMembers)
+// NewServer returns envfedd's HTTP front over fed: the httpapi server
+// with fed as its Backend, envfed_http_* metrics, and /members listing
+// every downstream daemon's breaker position. It answers the same
+// documents as a single envmond (plus the degraded section on partial
+// results), so existing clients (envtop -remote) work unmodified. The
+// request's deadline_ms, else the server's DefaultDeadline, bounds the
+// whole fan-out; a member that misses it becomes a MissingMember in the
+// partial response — the deadline produces degraded answers, not hung
+// connections. Instrument also registers fed's member metrics.
+func NewServer(fed *Federator) *httpapi.Server {
+	s := httpapi.NewServer(backend{fed}, "envfed")
+	s.Handle("/members", func() (any, error) {
+		return httpapi.MembersResult{Members: fed.Members()}, nil
+	})
 	return s
 }
 
-// Instrument registers per-endpoint request metrics, the federator's
-// member metrics, and mounts /metrics. Call at wiring time.
-func (s *Server) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.fed.Instrument(reg)
-	o := &serverObs{
-		requests: make(map[string]*obs.Counter, len(fedEndpoints)),
-		latency:  make(map[string]*obs.Histogram, len(fedEndpoints)),
-	}
-	for _, ep := range fedEndpoints {
-		o.requests[ep] = reg.Counter("envfed_http_requests_total",
-			"HTTP requests served, by endpoint.", "endpoint", ep)
-		o.latency[ep] = reg.Histogram("envfed_http_request_seconds",
-			"HTTP request handling latency, by endpoint.", obs.DefLatencyBuckets, "endpoint", ep)
-	}
-	s.o = o
-	s.mux.Handle("/metrics", reg.Handler())
-}
+// backend is the httpapi.Backend over a Federator: validated wire
+// parameters are forwarded to the members in their canonical spellings.
+type backend struct{ fed *Federator }
 
-// SetAccessLog installs a structured access-log callback. Call at wiring
-// time; the callback runs on the request goroutine.
-func (s *Server) SetAccessLog(f func(method, path string, status int, d time.Duration, bytes int64)) {
-	s.accessLog = f
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.o == nil && s.accessLog == nil {
-		s.serve(w, r)
-		return
-	}
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.serve(sw, r)
-	d := time.Since(start)
-	ep := fedEndpointLabel(r.URL.Path)
-	if s.o != nil {
-		s.o.requests[ep].Inc()
-		s.o.latency[ep].ObserveDuration(d)
-	}
-	if s.accessLog != nil {
-		s.accessLog(r.Method, r.URL.Path, sw.status, d, sw.bytes)
-	}
-}
-
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, httpapi.ErrorBody{Error: "GET only"})
-		return
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(doc)
-}
-
-func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: err.Error()})
-}
-
-// queryCtx applies the request's deadline_ms (or the server default) to
-// the fan-out context. A member that misses the deadline becomes a
-// MissingMember in the partial response — the deadline produces degraded
-// answers, not hung connections.
-func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d, err := httpapi.ParseDeadline(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d <= 0 {
-		d = s.DefaultDeadline
-	}
-	if d <= 0 {
-		ctx, cancel := context.WithCancel(r.Context())
-		return ctx, cancel, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := s.queryCtx(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	writeJSON(w, http.StatusOK, s.fed.Health(ctx))
-}
-
-func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, httpapi.MembersResult{Members: s.fed.Members()})
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	from, to, err := httpapi.ParseWindow(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Validate resolution and aggregate locally so a typo is a 400 here,
-	// not N member errors; forward the canonical spellings.
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	agg, err := telemetry.ParseAggregate(r.FormValue("agg"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ctx, cancel, err := s.queryCtx(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
+func (b backend) Query(ctx context.Context, q telemetry.Query) (httpapi.QueryResult, error) {
 	p := QueryParams{
-		Node:       r.FormValue("node"),
-		Backend:    r.FormValue("backend"),
-		Domain:     r.FormValue("domain"),
-		From:       from,
-		To:         to,
-		Resolution: res.String(),
+		Node:       q.Node,
+		Backend:    q.Backend,
+		Domain:     q.Domain,
+		From:       q.From,
+		To:         q.To,
+		Resolution: q.Resolution.String(),
 	}
-	if agg != telemetry.AggNone {
-		p.Aggregate = agg.String()
+	if q.Aggregate != telemetry.AggNone {
+		p.Aggregate = q.Aggregate.String()
 	}
-	out := s.fed.Query(ctx, p)
-	// The single-daemon 404 rule, applied cluster-wide: zero frames under
-	// a filter means the key exists nowhere — but only when every member
-	// answered. With members missing, the honest answer is a 200 partial
-	// result ("can't say; these racks are dark"), never a 404 that claims
-	// the series does not exist.
-	filtered := p.Node != "" || p.Backend != "" || p.Domain != ""
-	if len(out.Frames) == 0 && filtered && out.Degraded == nil {
-		writeJSON(w, http.StatusNotFound, httpapi.ErrorBody{Error: "no matching series"})
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	return b.fed.Query(ctx, p), nil
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	from, to, err := httpapi.ParseWindow(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := 10
-	if v := r.FormValue("k"); v != "" {
-		k, err = strconv.Atoi(v)
-		if err != nil {
-			badRequest(w, fmt.Errorf("bad k %q: %v", v, err))
-			return
-		}
-		if k < 0 {
-			badRequest(w, fmt.Errorf("bad k %d: must be non-negative", k))
-			return
-		}
-		if k > httpapi.MaxTopK {
-			badRequest(w, fmt.Errorf("bad k %d: exceeds maximum %d", k, httpapi.MaxTopK))
-			return
-		}
-	}
-	ctx, cancel, err := s.queryCtx(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	out := s.fed.TopK(ctx, TopKParams{
-		K:          k,
-		Domain:     r.FormValue("domain"),
-		From:       from,
-		To:         to,
-		Resolution: res.String(),
-	})
-	writeJSON(w, http.StatusOK, out)
+func (b backend) TopK(ctx context.Context, k int, domain string, from, to time.Duration, res telemetry.Resolution) (httpapi.TopKResult, error) {
+	return b.fed.TopK(ctx, TopKParams{K: k, Domain: domain, From: from, To: to, Resolution: res.String()}), nil
 }
+
+func (b backend) Health(ctx context.Context) httpapi.Health { return b.fed.Health(ctx) }
+
+func (b backend) Instrument(reg *obs.Registry) { b.fed.Instrument(reg) }

@@ -8,15 +8,6 @@ import (
 	"envmon/internal/telemetry/client"
 )
 
-// A Source produces the controller's observations. Two implementations
-// cover the two deployments: StoreSource reads a telemetry store
-// in-process (the deterministic acceptance path, where the controller
-// and the simulated fleet share a clock), and ClientSource queries an
-// envmond or envfedd endpoint over HTTP (the envcapd daemon path).
-type Source interface {
-	Observe(ctx context.Context, now time.Duration) Observation
-}
-
 // StoreSource measures fleet power straight from a telemetry store: the
 // sum over nodes of each series' newest value inside the lookback
 // window. Age comes from the newest point seen, gaps from the explicit

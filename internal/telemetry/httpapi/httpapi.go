@@ -1,13 +1,21 @@
-// Package httpapi serves a telemetry.Store over HTTP/JSON — the wire layer
-// of the envmond daemon. It also defines the JSON document types, which
-// the client package shares, so the two sides cannot drift.
+// Package httpapi is envmon's one HTTP serving path: the wire layer of
+// both envmond and envfedd. A Server answers the endpoints below from a
+// Backend — a local telemetry.Store (New) or a federation of daemons
+// (federation.NewServer) — and owns everything the two fronts share:
+// parameter parsing and validation, the 404 rule, the method check, the
+// shutdown guard, per-endpoint metrics and the access log. The package
+// also defines the JSON document types, which the client package shares,
+// so the two sides cannot drift.
 //
 // Endpoints (all GET):
 //
 //	/healthz  liveness + store counters + the simulation's current time
-//	/series   every stored series with unit and sample counts
 //	/query    frames for matching series over a window
 //	/topk     nodes ranked by mean power over a window
+//	/metrics  Prometheus-text exposition, once instrumented
+//
+// plus the routes a front adds with Handle: /series (every stored series
+// with unit and sample counts) on a store, /members on a federation.
 //
 // Durations in query parameters use Go syntax ("90s", "5m"); timestamps in
 // responses are nanoseconds since the simulation epoch, matching the trace
@@ -15,11 +23,14 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -202,20 +213,39 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// MaxTopK bounds the /topk k parameter: a ranking is for operators
+// maxTopK bounds the /topk k parameter: a ranking is for operators
 // eyeballing the worst offenders, and a request for millions of rows is a
 // typo or an abuse, not a question. (k=0, "rank everyone", stays valid —
-// the result is bounded by the node count.) Exported because the
-// federation front-end enforces the same bound before fanning out.
-const MaxTopK = 10000
+// the result is bounded by the node count.)
+const maxTopK = 10000
 
-// Server serves a store. It implements http.Handler.
+// Backend is what a Server answers /healthz, /query and /topk from: a
+// local store (see New) or a federation of daemons. ctx carries the
+// request's deadline — deadline_ms, else the server's DefaultDeadline —
+// and a backend answers by then, with a partial document or an error.
+// A backend that also has an Instrument(*obs.Registry) method registers
+// its own metrics when the server is instrumented.
+type Backend interface {
+	Query(ctx context.Context, q telemetry.Query) (QueryResult, error)
+	TopK(ctx context.Context, k int, domain string, from, to time.Duration, res telemetry.Resolution) (TopKResult, error)
+	Health(ctx context.Context) Health
+}
+
+// errClosing answers a data-plane request once shutdown has begun.
+var errClosing = errors.New("store is closing")
+
+// Server serves a Backend. It implements http.Handler.
 type Server struct {
-	store    *telemetry.Store
-	now      func() time.Duration
+	backend  Backend
+	prefix   string // metric-name prefix: envmon for a store, envfed for a federation
+	mux      *http.ServeMux
+	routes   []string // endpoint labels of the routes added by Handle
 	breakers func() []BackendHealth
 	faults   string
-	mux      *http.ServeMux
+
+	// DefaultDeadline bounds a request that carries no deadline_ms
+	// (0 leaves it unbounded). A wiring-time setting.
+	DefaultDeadline time.Duration
 
 	// obs and accessLog share one timing path in ServeHTTP: requests are
 	// wrapped in a status-capturing writer only when at least one of them
@@ -235,6 +265,7 @@ type Server struct {
 // (except on error responses, which intern a per-status counter).
 type serverObs struct {
 	reg       *obs.Registry
+	errors    string // the error counter's family name
 	endpoints map[string]*endpointMetrics
 }
 
@@ -244,46 +275,59 @@ type endpointMetrics struct {
 	bytes    *obs.Counter
 }
 
-// endpoints are the label values of the per-endpoint metrics; paths
-// outside the API surface fold into "other" so cardinality is bounded no
-// matter what clients probe.
-var endpoints = []string{"healthz", "series", "query", "topk", "metrics", "other"}
-
-func endpointLabel(path string) string {
-	switch path {
-	case "/healthz", "/series", "/query", "/topk", "/metrics":
-		return path[1:]
-	default:
-		return "other"
+// endpoint returns the label and handles for a request path. Paths
+// outside the served routes fold into "other" so cardinality is bounded
+// no matter what clients probe.
+func (o *serverObs) endpoint(path string) (string, *endpointMetrics) {
+	if ep, ok := strings.CutPrefix(path, "/"); ok {
+		if em, ok := o.endpoints[ep]; ok {
+			return ep, em
+		}
 	}
+	return "other", o.endpoints["other"]
 }
 
-// New returns a server over store. now, when non-nil, reports the
-// simulation's current time for /healthz (e.g. a clock group's Now); nil
-// reports zero.
-func New(store *telemetry.Store, now func() time.Duration) *Server {
-	s := &Server{store: store, now: now, mux: http.NewServeMux()}
+// NewServer returns a server over b with /healthz, /query and /topk.
+// metricPrefix names the daemon in its metric families
+// (<prefix>_http_requests_total and so on).
+func NewServer(b Backend, metricPrefix string) *Server {
+	s := &Server{backend: b, prefix: metricPrefix, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/series", s.handleSeries)
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/topk", s.handleTopK)
 	return s
 }
 
+// Handle adds a data-plane route answering doc's result as JSON, behind
+// the same method check, closing guard, metrics and access log as /query.
+// Its endpoint label is path without the leading slash. Call at wiring
+// time, before Instrument.
+func (s *Server) Handle(path string, doc func() (any, error)) {
+	s.routes = append(s.routes, path[1:])
+	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if s.unavailable(w) {
+			return
+		}
+		out, err := doc()
+		reply(w, out, err, 0)
+	})
+}
+
 // StartClosing flips the server into shutdown mode: every subsequent
-// data-plane request (/series, /query, /topk) is answered immediately
-// with a 503 JSON error. Call when shutdown begins, before the store
-// closes — it makes the "query races SIGTERM" window an explicit error
-// instead of a connection that hangs in http.Server.Shutdown's drain.
+// data-plane request (/query, /topk and the routes added by Handle) is
+// answered immediately with a 503 JSON error. Call when shutdown begins,
+// before the backend closes — it makes the "query races SIGTERM" window
+// an explicit error instead of a connection that hangs in
+// http.Server.Shutdown's drain.
 func (s *Server) StartClosing() { s.closing.Store(true) }
 
 // unavailable answers a data-plane request during shutdown; it reports
 // whether the request was intercepted.
 func (s *Server) unavailable(w http.ResponseWriter) bool {
-	if !s.closing.Load() && !s.store.Closed() {
+	if !s.closing.Load() {
 		return false
 	}
-	writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "store is closing"})
+	reply(w, nil, errClosing, 0)
 	return true
 }
 
@@ -296,21 +340,26 @@ func (s *Server) SetBreakers(f func() []BackendHealth) { s.breakers = f }
 // operator can tell a chaos drill from a real outage.
 func (s *Server) SetFaults(plan string) { s.faults = plan }
 
-// Instrument registers per-endpoint request metrics in reg and mounts
-// reg's /metrics exposition on the server's mux. Call at wiring time,
-// before the server is shared.
+// Instrument registers per-endpoint request metrics in reg, and the
+// backend's own metrics if it has any, and mounts reg's /metrics
+// exposition on the server's mux. Call at wiring time, before the server
+// is shared.
 func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	o := &serverObs{reg: reg, endpoints: make(map[string]*endpointMetrics, len(endpoints))}
-	for _, ep := range endpoints {
+	if b, ok := s.backend.(interface{ Instrument(*obs.Registry) }); ok {
+		b.Instrument(reg)
+	}
+	p := s.prefix + "_http_"
+	o := &serverObs{reg: reg, errors: p + "errors_total", endpoints: make(map[string]*endpointMetrics)}
+	for _, ep := range append([]string{"healthz", "query", "topk", "metrics", "other"}, s.routes...) {
 		o.endpoints[ep] = &endpointMetrics{
-			requests: reg.Counter("envmon_http_requests_total",
+			requests: reg.Counter(p+"requests_total",
 				"HTTP requests served, by endpoint.", "endpoint", ep),
-			latency: reg.Histogram("envmon_http_request_seconds",
+			latency: reg.Histogram(p+"request_seconds",
 				"HTTP request handling latency, by endpoint.", obs.DefLatencyBuckets, "endpoint", ep),
-			bytes: reg.Counter("envmon_http_response_bytes_total",
+			bytes: reg.Counter(p+"response_bytes_total",
 				"HTTP response body bytes written, by endpoint.", "endpoint", ep),
 		}
 	}
@@ -336,9 +385,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	s.serve(sw, r)
 	d := time.Since(start)
-	ep := endpointLabel(r.URL.Path)
 	if o := s.obs; o != nil {
-		em := o.endpoints[ep]
+		ep, em := o.endpoint(r.URL.Path)
 		em.requests.Inc()
 		em.latency.ObserveDuration(d)
 		em.bytes.Add(uint64(sw.bytes))
@@ -346,7 +394,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// Interned on first occurrence per (endpoint, code): error
 			// responses are off the hot path, and enumerating every status
 			// code upfront would be cardinality for nothing.
-			o.reg.Counter("envmon_http_errors_total",
+			o.reg.Counter(o.errors,
 				"HTTP error responses, by endpoint and status code.",
 				"endpoint", ep, "code", strconv.Itoa(sw.status)).Inc()
 		}
@@ -399,30 +447,44 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 }
 
+// reply writes doc, or err as a JSON error: 503 while the backend is
+// closing, 504 once the request's deadline has passed, 500 otherwise.
+func reply(w http.ResponseWriter, doc any, err error, deadline time.Duration) {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, doc)
+	case errors.Is(err, errClosing):
+		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error()})
+	case errors.Is(err, context.DeadlineExceeded):
+		writeJSON(w, http.StatusGatewayTimeout,
+			ErrorBody{Error: fmt.Sprintf("deadline %v exceeded", deadline)})
+	default:
+		writeJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
+	}
+}
+
+// requestContext bounds a request by d, its deadline_ms, or else by the
+// server's DefaultDeadline, and returns the bound it applied (0 = none).
+func (s *Server) requestContext(r *http.Request, d time.Duration) (context.Context, context.CancelFunc, time.Duration) {
+	if d <= 0 {
+		d = s.DefaultDeadline
+	}
+	if d <= 0 {
+		return r.Context(), func() {}, 0
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	return ctx, cancel, d
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{
-		Status:  "ok",
-		Series:  s.store.NumSeries(),
-		Samples: s.store.Samples(),
-		Gaps:    s.store.Gaps(),
-		Faults:  s.faults,
-	}
-	if s.now != nil {
-		h.SimNowNS = int64(s.now())
-	}
-	if stats := s.store.StorageStats(); stats.Persistent {
-		h.Storage = &StorageHealth{
-			DataDir:          stats.DataDir,
-			Blocks:           stats.Blocks,
-			BlockBytes:       stats.BlockBytes,
-			WALBytes:         stats.WALBytes,
-			Compactions:      stats.Compactions,
-			ReadErrors:       stats.ReadErrors,
-			RecoveredSeries:  stats.Recovery.Series,
-			RecoveredSamples: stats.Recovery.Samples,
-			RecoveredGaps:    stats.Recovery.Gaps,
-			LostRecords:      stats.Recovery.Lost,
-		}
+	// A malformed deadline_ms falls back to the default: /healthz takes
+	// no parameters of its own, and a liveness probe is never a 400.
+	d, _ := ParseDeadline(r)
+	ctx, cancel, _ := s.requestContext(r, d)
+	defer cancel()
+	h := s.backend.Health(ctx)
+	if s.faults != "" {
+		h.Faults = s.faults
 	}
 	if s.breakers != nil {
 		h.Backends = s.breakers()
@@ -446,41 +508,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if s.unavailable(w) {
-		return
-	}
-	infos := s.store.Series()
-	out := SeriesResult{Series: make([]SeriesInfo, 0, len(infos))}
-	for _, si := range infos {
-		out.Series = append(out.Series, SeriesInfo{
-			Node: si.Key.Node, Backend: si.Key.Backend, Domain: si.Key.Domain,
-			Unit: si.Unit, Samples: si.Samples, Gaps: si.Gaps, Persisted: si.Persisted,
-			OldestNS: int64(si.Oldest), NewestNS: int64(si.Newest),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// ParseWindow reads the from/to parameters (Go duration syntax; empty
-// means unbounded). Exported because the federation front-end validates
-// the same wire grammar before fanning a query out.
-func ParseWindow(r *http.Request) (from, to time.Duration, err error) {
-	if v := r.FormValue("from"); v != "" {
-		from, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad from %q: %v", v, err)
-		}
-	}
-	if v := r.FormValue("to"); v != "" {
-		to, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad to %q: %v", v, err)
-		}
-	}
-	return from, to, nil
-}
-
 // ParseDeadline reads the optional deadline_ms parameter: how long the
 // caller is willing to wait for the result. Zero means no deadline.
 func ParseDeadline(r *http.Request) (time.Duration, error) {
@@ -495,52 +522,32 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// runGuarded computes a response under an optional deadline. With no
-// deadline it runs inline. With one, the computation runs on its own
-// goroutine and a deadline expiry answers 504 immediately — the caller
-// gets a JSON error within its budget, never a connection held open by a
-// slow store scan (the computation finishes and is discarded).
-func runGuarded(w http.ResponseWriter, deadline time.Duration, compute func() (int, any)) {
-	if deadline <= 0 {
-		status, doc := compute()
-		writeJSON(w, status, doc)
-		return
+// parseScan reads the parameters /query and /topk share, in the order
+// their errors are reported: the window (Go duration syntax; empty means
+// unbounded), deadline_ms, then res.
+func parseScan(r *http.Request) (from, to, deadline time.Duration, res telemetry.Resolution, err error) {
+	if v := r.FormValue("from"); v != "" {
+		if from, err = time.ParseDuration(v); err != nil {
+			return 0, 0, 0, 0, fmt.Errorf("bad from %q: %v", v, err)
+		}
 	}
-	type resp struct {
-		status int
-		doc    any
+	if v := r.FormValue("to"); v != "" {
+		if to, err = time.ParseDuration(v); err != nil {
+			return 0, 0, 0, 0, fmt.Errorf("bad to %q: %v", v, err)
+		}
 	}
-	ch := make(chan resp, 1)
-	go func() {
-		status, doc := compute()
-		ch <- resp{status, doc}
-	}()
-	t := time.NewTimer(deadline)
-	defer t.Stop()
-	select {
-	case rp := <-ch:
-		writeJSON(w, rp.status, rp.doc)
-	case <-t.C:
-		writeJSON(w, http.StatusGatewayTimeout,
-			ErrorBody{Error: fmt.Sprintf("deadline %v exceeded", deadline)})
+	if deadline, err = ParseDeadline(r); err != nil {
+		return 0, 0, 0, 0, err
 	}
+	res, err = telemetry.ParseResolution(r.FormValue("res"))
+	return from, to, deadline, res, err
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.unavailable(w) {
 		return
 	}
-	from, to, err := ParseWindow(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
+	from, to, deadline, res, err := parseScan(r)
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -559,68 +566,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Resolution: res,
 		Aggregate:  agg,
 	}
-	runGuarded(w, deadline, func() (int, any) {
-		frames := s.store.Query(q)
-		// A query returns one frame per matching series regardless of window,
-		// so zero frames under a filter means the series key does not exist —
-		// a 404, distinguishable from an empty window (200 with empty points).
-		// An unfiltered query over an empty store stays 200: "nothing stored
-		// yet" is a valid answer to "show me everything".
-		if len(frames) == 0 && (q.Node != "" || q.Backend != "" || q.Domain != "") {
-			return http.StatusNotFound, ErrorBody{Error: "no matching series"}
-		}
-		out := QueryResult{Frames: make([]Frame, 0, len(frames))}
-		if s.now != nil {
-			out.SimNowNS = int64(s.now())
-		}
-		for _, f := range frames {
-			jf := frameDoc(f)
-			if n := len(jf.Points); n > 0 && jf.Points[n-1].TNS > out.NewestNS {
-				out.NewestNS = jf.Points[n-1].TNS
-			}
-			out.Frames = append(out.Frames, jf)
-		}
-		return http.StatusOK, out
-	})
-}
-
-// frameDoc converts one store frame to its wire form.
-func frameDoc(f telemetry.Frame) Frame {
-	jf := Frame{
-		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
-		Unit: f.Unit, Resolution: f.Resolution.String(),
-		Points: make([]Point, 0, len(f.Points)),
+	ctx, cancel, deadline := s.requestContext(r, deadline)
+	defer cancel()
+	out, err := s.backend.Query(ctx, q)
+	// A query returns one frame per matching series regardless of window,
+	// so zero frames under a filter means the series key does not exist —
+	// a 404, distinguishable from an empty window (200 with empty points).
+	// An unfiltered query over an empty store stays 200: "nothing stored
+	// yet" is a valid answer to "show me everything". A degraded answer is
+	// never a 404: with members missing, the honest answer is a 200
+	// partial result ("can't say; these racks are dark"), not a claim that
+	// the series does not exist.
+	filtered := q.Node != "" || q.Backend != "" || q.Domain != ""
+	if err == nil && len(out.Frames) == 0 && filtered && out.Degraded == nil {
+		writeJSON(w, http.StatusNotFound, ErrorBody{Error: "no matching series"})
+		return
 	}
-	if f.ReducedOK {
-		v := f.Reduced
-		jf.Reduced = &v
-	}
-	for _, p := range f.Points {
-		jf.Points = append(jf.Points, Point{
-			TNS: int64(p.T), Min: p.Min, Max: p.Max, Mean: p.Mean, Last: p.Last, Count: p.Count,
-		})
-	}
-	for _, g := range f.Gaps {
-		jf.GapsNS = append(jf.GapsNS, int64(g))
-	}
-	return jf
+	reply(w, out, err, deadline)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if s.unavailable(w) {
 		return
 	}
-	from, to, err := ParseWindow(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
+	from, to, deadline, res, err := parseScan(r)
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -636,25 +605,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			badRequest(w, fmt.Errorf("bad k %d: must be non-negative", k))
 			return
 		}
-		if k > MaxTopK {
-			badRequest(w, fmt.Errorf("bad k %d: exceeds maximum %d", k, MaxTopK))
+		if k > maxTopK {
+			badRequest(w, fmt.Errorf("bad k %d: exceeds maximum %d", k, maxTopK))
 			return
 		}
 	}
-	domain := r.FormValue("domain")
-	runGuarded(w, deadline, func() (int, any) {
-		ranked, total := s.store.TopK(k, domain, from, to, res)
-		outDomain := domain
-		if outDomain == "" {
-			outDomain = "Total Power"
-		}
-		out := TopKResult{Domain: outDomain, TotalWatts: total, Nodes: make([]NodePower, 0, len(ranked))}
-		if s.now != nil {
-			out.SimNowNS = int64(s.now())
-		}
-		for _, np := range ranked {
-			out.Nodes = append(out.Nodes, NodePower{Node: np.Node, Watts: np.Watts, Series: np.Series})
-		}
-		return http.StatusOK, out
-	})
+	ctx, cancel, deadline := s.requestContext(r, deadline)
+	defer cancel()
+	out, err := s.backend.TopK(ctx, k, r.FormValue("domain"), from, to, res)
+	reply(w, out, err, deadline)
 }
