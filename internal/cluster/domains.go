@@ -47,9 +47,6 @@ func (c *Cluster) Domains(shards int) *Domains {
 // Shards reports the number of clock domains.
 func (d *Domains) Shards() int { return d.group.Len() }
 
-// Group exposes the underlying clock-domain group.
-func (d *Domains) Group() *simclock.Group { return d.group }
-
 // Clock returns the clock domain that drives node i — the clock every one
 // of that node's timers must be scheduled on.
 func (d *Domains) Clock(node int) core.Clock { return d.group.Clock(d.shard[node]) }
@@ -57,12 +54,6 @@ func (d *Domains) Clock(node int) core.Clock { return d.group.Clock(d.shard[node
 // Now reports the trailing edge across domains; after an advance every
 // domain sits at the same instant and Now is that instant.
 func (d *Domains) Now() time.Duration { return d.group.Now() }
-
-// AdvanceTo steps every domain to the absolute time target on a pool of
-// the given size (<= 0 selects one worker per host core; 1 is serial).
-func (d *Domains) AdvanceTo(target time.Duration, workers int) {
-	d.group.AdvanceTo(target, workers)
-}
 
 // Advance steps every domain forward by dur from the trailing edge.
 func (d *Domains) Advance(dur time.Duration, workers int) {

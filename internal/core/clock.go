@@ -30,16 +30,7 @@ type Timer = interface {
 type Clock interface {
 	// Now reports the current time as an offset from the epoch.
 	Now() time.Duration
-	// AfterFunc schedules fn to run once, d after the current time. A
-	// non-positive d fires at the current instant on the next advance.
-	AfterFunc(d time.Duration, fn func(now time.Duration)) Timer
-	// At schedules fn to run once at the absolute time at; times in the
-	// past fire on the next advance.
-	At(at time.Duration, fn func(now time.Duration)) Timer
 	// Every schedules fn to run periodically, first at now+period and then
 	// each period thereafter. period must be positive.
 	Every(period time.Duration, fn func(now time.Duration)) Timer
-	// EveryFrom schedules fn to fire at start and then every period
-	// thereafter; a start in the past is clamped to the current instant.
-	EveryFrom(start, period time.Duration, fn func(now time.Duration)) Timer
 }

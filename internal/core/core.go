@@ -197,16 +197,6 @@ type Reading struct {
 	Time time.Duration
 }
 
-// Sensor is a single measurable quantity on a device.
-type Sensor interface {
-	// Capability reports what the sensor measures.
-	Capability() Capability
-	// Read returns the sensor's value at the given simulated time. The
-	// returned Reading.Time may be earlier than now if the underlying
-	// mechanism serves buffered/stale data.
-	Read(now time.Duration) (Reading, error)
-}
-
 // Collector is a mechanism for gathering a batch of environmental data from
 // a device: an API, a daemon pseudo-file, a register read. Collectors are
 // what MonEQ polls; their per-query cost is the paper's central overhead

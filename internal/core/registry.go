@@ -74,6 +74,33 @@ func (r *Registry) Build(key BackendKey, target any) (Collector, error) {
 	return f(target)
 }
 
+// Decorate returns a registry whose factories build r's collectors and
+// pass each through wrap — the one switch shape behind the fault and
+// instrumentation decorators. instance counts the builds of that key, from
+// 0; collector construction order is deterministic (nodes are assembled
+// before any clock advances), so an instance number names the same
+// collector at any shard or worker count.
+func (r *Registry) Decorate(wrap func(key BackendKey, instance int, c Collector) Collector) *Registry {
+	out := NewRegistry()
+	for _, key := range r.Keys() {
+		key := key
+		var mu sync.Mutex
+		instances := 0
+		out.Register(key, func(target any) (Collector, error) {
+			col, err := r.Build(key, target)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			instance := instances
+			instances++
+			mu.Unlock()
+			return wrap(key, instance, col), nil
+		})
+	}
+	return out
+}
+
 // Keys lists the registered backends sorted by platform then method — a
 // stable inventory for -backends style listings.
 func (r *Registry) Keys() []BackendKey {

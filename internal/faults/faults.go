@@ -150,9 +150,6 @@ func Wrap(col core.Collector, plan Plan, label string, instance int) *Injector {
 	}
 }
 
-// Unwrap exposes the wrapped collector.
-func (j *Injector) Unwrap() core.Collector { return j.col }
-
 // Counters reports the injection counts so far.
 func (j *Injector) Counters() Counters { return j.counters }
 

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync"
 
 	"envmon/internal/core"
 )
@@ -27,22 +26,7 @@ func Decorate(base *core.Registry, plan Plan) *core.Registry {
 	if !plan.Enabled() {
 		return base
 	}
-	out := core.NewRegistry()
-	for _, key := range base.Keys() {
-		key := key
-		var mu sync.Mutex
-		instances := 0
-		out.Register(key, func(target any) (core.Collector, error) {
-			col, err := base.Build(key, target)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			instance := instances
-			instances++
-			mu.Unlock()
-			return Wrap(col, plan, fmt.Sprintf("%s#%d", key, instance), instance), nil
-		})
-	}
-	return out
+	return base.Decorate(func(key core.BackendKey, instance int, col core.Collector) core.Collector {
+		return Wrap(col, plan, fmt.Sprintf("%s#%d", key, instance), instance)
+	})
 }

@@ -43,9 +43,6 @@ func WrapCollector(col core.Collector, reg *Registry, tr *Tracer) *InstrumentedC
 	}
 }
 
-// Unwrap exposes the wrapped collector.
-func (ic *InstrumentedCollector) Unwrap() core.Collector { return ic.col }
-
 // Platform implements core.Collector.
 func (ic *InstrumentedCollector) Platform() core.Platform { return ic.col.Platform() }
 
@@ -88,16 +85,7 @@ func Decorate(base *core.Registry, reg *Registry, tr *Tracer) *core.Registry {
 	if reg == nil && tr == nil {
 		return base
 	}
-	out := core.NewRegistry()
-	for _, key := range base.Keys() {
-		key := key
-		out.Register(key, func(target any) (core.Collector, error) {
-			col, err := base.Build(key, target)
-			if err != nil {
-				return nil, err
-			}
-			return WrapCollector(col, reg, tr), nil
-		})
-	}
-	return out
+	return base.Decorate(func(_ core.BackendKey, _ int, col core.Collector) core.Collector {
+		return WrapCollector(col, reg, tr)
+	})
 }

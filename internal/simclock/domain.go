@@ -58,15 +58,6 @@ func (g *Group) Now() time.Duration {
 	return min
 }
 
-// Pending reports the total number of scheduled events across domains.
-func (g *Group) Pending() int {
-	total := 0
-	for _, c := range g.clocks {
-		total += c.Pending()
-	}
-	return total
-}
-
 // AdvanceTo moves every domain forward to the absolute time target — one
 // epoch with a single trailing barrier. Domains advance concurrently on a
 // pool of the given size (<= 0 selects one worker per host core; 1 is

@@ -65,10 +65,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the unbiased sample standard deviation, or 0 for fewer
-// than two values.
-func StdDev(xs []float64) float64 { return Describe(xs).StdDev }
-
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics (R's default "type 7"). It returns
 // NaN for an empty slice and panics on p outside [0, 1]. xs need not be

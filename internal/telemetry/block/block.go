@@ -65,27 +65,29 @@ type Agg struct {
 	LastGapT time.Duration
 }
 
-type levelEntry struct {
-	startBucket uint64
-	numClosed   uint64
-	off, length uint64
-	tail        *storage.Bucket
+// chunkRef locates one chunk of a series in a block file: the absolute
+// index range it covers in the series' stream, [start, start+count), and
+// its byte range in the file.
+type chunkRef struct {
+	start, count uint64
+	off, length  uint64
 }
 
+// end is one past the chunk's last absolute index.
+func (c chunkRef) end() uint64 { return c.start + c.count }
+
+// seriesEntry is one series' index entry: a chunk per stream (points,
+// gaps, each rollup level's sealed buckets) plus the instants and open
+// tail buckets recovery re-seeds the head with.
 type seriesEntry struct {
 	key        storage.SeriesKey
 	unit       string
-	startPoint uint64
-	numPoints  uint64
+	points     chunkRef
+	gaps       chunkRef
+	levels     [numLvl]chunkRef
+	tails      [numLvl]*storage.Bucket
 	minT, maxT time.Duration
 	lastGapT   time.Duration
-	startGap   uint64
-	numGaps    uint64
-	ptOff      uint64
-	ptLen      uint64
-	gapOff     uint64
-	gapLen     uint64
-	levels     [numLvl]levelEntry
 }
 
 type file struct {
@@ -163,26 +165,25 @@ func (s *Store) publish(bf *file) {
 			s.agg[key] = a
 		}
 		a.Unit = e.unit
-		if e.numPoints > 0 {
+		if e.points.count > 0 {
 			if a.Points == 0 {
 				a.MinT = e.minT // files fold in seq order; the first is oldest
 			}
-			if end := e.startPoint + e.numPoints; end > a.Points {
+			if end := e.points.end(); end > a.Points {
 				a.Points = end
 				a.LastT = e.maxT
 			}
 		}
-		if end := e.startGap + e.numGaps; end > a.Gaps {
+		if end := e.gaps.end(); end > a.Gaps {
 			a.Gaps = end
 			a.LastGapT = e.lastGapT
 		}
-		for l := 0; l < numLvl; l++ {
-			le := &e.levels[l]
-			if end := le.startBucket + le.numClosed; end > a.Buckets[l] {
+		for l := range e.levels {
+			if end := e.levels[l].end(); end > a.Buckets[l] {
 				a.Buckets[l] = end
 			}
-			if le.tail != nil {
-				a.Tails[l] = le.tail
+			if e.tails[l] != nil {
+				a.Tails[l] = e.tails[l]
 			}
 		}
 	}
@@ -231,64 +232,32 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, version)
 
-	type chunkPos struct{ off, length uint64 }
-	ptPos := make([]chunkPos, len(snaps))
-	gapPos := make([]chunkPos, len(snaps))
-	lvlPos := make([][numLvl]chunkPos, len(snaps))
-	for i, sn := range snaps {
+	// put appends one chunk and returns its reference.
+	put := func(start uint64, count int, encode func([]byte) []byte) chunkRef {
 		off := uint64(len(buf))
-		buf = storage.EncodePoints(buf, sn.Points)
-		ptPos[i] = chunkPos{off, uint64(len(buf)) - off}
-		off = uint64(len(buf))
-		buf = storage.EncodeGaps(buf, sn.Gaps)
-		gapPos[i] = chunkPos{off, uint64(len(buf)) - off}
+		buf = encode(buf)
+		return chunkRef{start: start, count: uint64(count), off: off, length: uint64(len(buf)) - off}
+	}
+	entries := make([]seriesEntry, len(snaps))
+	for i, sn := range snaps {
+		e := &entries[i]
+		e.key, e.unit, e.lastGapT = sn.Key, sn.Unit, sn.LastGapT
+		if len(sn.Points) > 0 {
+			e.minT, e.maxT = sn.Points[0].T, sn.Points[len(sn.Points)-1].T
+		}
+		e.points = put(sn.StartPoint, len(sn.Points), func(b []byte) []byte { return storage.EncodePoints(b, sn.Points) })
+		e.gaps = put(sn.StartGap, len(sn.Gaps), func(b []byte) []byte { return storage.EncodeGaps(b, sn.Gaps) })
 		for l, lv := range sn.Levels {
-			off = uint64(len(buf))
-			buf = storage.EncodeBuckets(buf, lv.Closed)
-			lvlPos[i][l] = chunkPos{off, uint64(len(buf)) - off}
+			e.levels[l] = put(lv.StartBucket, len(lv.Closed), func(b []byte) []byte { return storage.EncodeBuckets(b, lv.Closed) })
+			e.tails[l] = lv.Tail
 		}
 	}
 
 	indexOff := uint64(len(buf))
 	idx := make([]byte, 0, 4<<10)
-	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(snaps)))
-	for i, sn := range snaps {
-		idx = appendString(idx, sn.Key.Node)
-		idx = appendString(idx, sn.Key.Backend)
-		idx = appendString(idx, sn.Key.Domain)
-		idx = appendString(idx, sn.Unit)
-		idx = binary.AppendUvarint(idx, sn.StartPoint)
-		idx = binary.AppendUvarint(idx, uint64(len(sn.Points)))
-		var minT, maxT time.Duration
-		if len(sn.Points) > 0 {
-			minT, maxT = sn.Points[0].T, sn.Points[len(sn.Points)-1].T
-		}
-		idx = binary.AppendVarint(idx, int64(minT))
-		idx = binary.AppendVarint(idx, int64(maxT))
-		idx = binary.AppendVarint(idx, int64(sn.LastGapT))
-		idx = binary.AppendUvarint(idx, sn.StartGap)
-		idx = binary.AppendUvarint(idx, uint64(len(sn.Gaps)))
-		idx = binary.AppendUvarint(idx, ptPos[i].off)
-		idx = binary.AppendUvarint(idx, ptPos[i].length)
-		idx = binary.AppendUvarint(idx, gapPos[i].off)
-		idx = binary.AppendUvarint(idx, gapPos[i].length)
-		for l, lv := range sn.Levels {
-			idx = binary.AppendUvarint(idx, lv.StartBucket)
-			idx = binary.AppendUvarint(idx, uint64(len(lv.Closed)))
-			idx = binary.AppendUvarint(idx, lvlPos[i][l].off)
-			idx = binary.AppendUvarint(idx, lvlPos[i][l].length)
-			if lv.Tail != nil {
-				idx = append(idx, 1)
-				idx = binary.AppendVarint(idx, int64(lv.Tail.Start))
-				idx = binary.AppendUvarint(idx, uint64(lv.Tail.Count))
-				idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(lv.Tail.Min))
-				idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(lv.Tail.Max))
-				idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(lv.Tail.Sum))
-				idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(lv.Tail.Last))
-			} else {
-				idx = append(idx, 0)
-			}
-		}
+	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(entries)))
+	for i := range entries {
+		idx = appendEntry(idx, &entries[i])
 	}
 	buf = append(buf, idx...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(idx, castagnoli))
@@ -320,6 +289,45 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 		_ = d.Close()
 	}
 	return nil
+}
+
+// appendEntry appends one series' index entry. The field order is the
+// file format: parseEntry reads it back in the same order.
+func appendEntry(idx []byte, e *seriesEntry) []byte {
+	idx = appendString(idx, e.key.Node)
+	idx = appendString(idx, e.key.Backend)
+	idx = appendString(idx, e.key.Domain)
+	idx = appendString(idx, e.unit)
+	idx = binary.AppendUvarint(idx, e.points.start)
+	idx = binary.AppendUvarint(idx, e.points.count)
+	idx = binary.AppendVarint(idx, int64(e.minT))
+	idx = binary.AppendVarint(idx, int64(e.maxT))
+	idx = binary.AppendVarint(idx, int64(e.lastGapT))
+	idx = binary.AppendUvarint(idx, e.gaps.start)
+	idx = binary.AppendUvarint(idx, e.gaps.count)
+	idx = binary.AppendUvarint(idx, e.points.off)
+	idx = binary.AppendUvarint(idx, e.points.length)
+	idx = binary.AppendUvarint(idx, e.gaps.off)
+	idx = binary.AppendUvarint(idx, e.gaps.length)
+	for l, c := range e.levels {
+		idx = binary.AppendUvarint(idx, c.start)
+		idx = binary.AppendUvarint(idx, c.count)
+		idx = binary.AppendUvarint(idx, c.off)
+		idx = binary.AppendUvarint(idx, c.length)
+		tail := e.tails[l]
+		if tail == nil {
+			idx = append(idx, 0)
+			continue
+		}
+		idx = append(idx, 1)
+		idx = binary.AppendVarint(idx, int64(tail.Start))
+		idx = binary.AppendUvarint(idx, uint64(tail.Count))
+		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(tail.Min))
+		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(tail.Max))
+		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(tail.Sum))
+		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(tail.Last))
+	}
+	return idx
 }
 
 func appendString(p []byte, s string) []byte {
@@ -453,46 +461,52 @@ func (bf *file) parseIndex(idx []byte) error {
 	n := binary.LittleEndian.Uint32(idx)
 	r := &idxReader{p: idx[4:]}
 	for i := uint32(0); i < n; i++ {
-		e := &seriesEntry{}
-		e.key.Node = r.str()
-		e.key.Backend = r.str()
-		e.key.Domain = r.str()
-		e.unit = r.str()
-		e.startPoint = r.uvarint()
-		e.numPoints = r.uvarint()
-		e.minT = time.Duration(r.varint())
-		e.maxT = time.Duration(r.varint())
-		e.lastGapT = time.Duration(r.varint())
-		e.startGap = r.uvarint()
-		e.numGaps = r.uvarint()
-		e.ptOff = r.uvarint()
-		e.ptLen = r.uvarint()
-		e.gapOff = r.uvarint()
-		e.gapLen = r.uvarint()
-		for l := 0; l < numLvl; l++ {
-			le := &e.levels[l]
-			le.startBucket = r.uvarint()
-			le.numClosed = r.uvarint()
-			le.off = r.uvarint()
-			le.length = r.uvarint()
-			if r.byte() == 1 {
-				tail := &storage.Bucket{
-					Start: time.Duration(r.varint()),
-					Count: int(r.uvarint()),
-				}
-				tail.Min = r.f64()
-				tail.Max = r.f64()
-				tail.Sum = r.f64()
-				tail.Last = r.f64()
-				le.tail = tail
-			}
-		}
+		e := r.entry()
 		if r.err != nil {
 			return r.err
 		}
 		bf.entries[e.key] = e
 	}
 	return nil
+}
+
+// entry reads one index entry in appendEntry's field order.
+func (r *idxReader) entry() *seriesEntry {
+	e := &seriesEntry{}
+	e.key.Node = r.str()
+	e.key.Backend = r.str()
+	e.key.Domain = r.str()
+	e.unit = r.str()
+	e.points.start = r.uvarint()
+	e.points.count = r.uvarint()
+	e.minT = time.Duration(r.varint())
+	e.maxT = time.Duration(r.varint())
+	e.lastGapT = time.Duration(r.varint())
+	e.gaps.start = r.uvarint()
+	e.gaps.count = r.uvarint()
+	e.points.off = r.uvarint()
+	e.points.length = r.uvarint()
+	e.gaps.off = r.uvarint()
+	e.gaps.length = r.uvarint()
+	for l := range e.levels {
+		c := &e.levels[l]
+		c.start = r.uvarint()
+		c.count = r.uvarint()
+		c.off = r.uvarint()
+		c.length = r.uvarint()
+		if r.byte() == 1 {
+			tail := &storage.Bucket{
+				Start: time.Duration(r.varint()),
+				Count: int(r.uvarint()),
+			}
+			tail.Min = r.f64()
+			tail.Max = r.f64()
+			tail.Sum = r.f64()
+			tail.Last = r.f64()
+			e.tails[l] = tail
+		}
+	}
+	return e
 }
 
 func (bf *file) chunk(off, length uint64) ([]byte, error) {
@@ -533,93 +547,67 @@ func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
 // EachPoint streams the series' persisted points inside [from, to) — to
 // <= 0 means unbounded — in ingest order across blocks.
 func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var scratch []storage.Point
-	for _, bf := range s.files {
-		e, ok := bf.entries[key]
-		if !ok || e.numPoints == 0 {
-			continue
-		}
+	return eachChunk(s, key, func(e *seriesEntry) chunkRef {
 		if e.maxT < from || (to > 0 && e.minT >= to) {
-			continue
+			return chunkRef{} // no point of this block is in the window
 		}
-		chunk, err := bf.chunk(e.ptOff, e.ptLen)
-		if err != nil {
-			return err
-		}
-		scratch, err = storage.DecodePoints(scratch[:0], chunk, int(e.numPoints))
-		if err != nil {
-			return err
-		}
-		for _, p := range scratch {
-			if p.T < from || (to > 0 && p.T >= to) {
-				continue
-			}
+		return e.points
+	}, storage.DecodePoints, func(p storage.Point) {
+		if p.T >= from && (to <= 0 || p.T < to) {
 			fn(p)
 		}
-	}
-	return nil
+	})
 }
 
 // EachClosedBucket streams the series' persisted sealed buckets at the
 // level, in order, for every bucket overlapping the window: buckets whose
 // [Start, Start+period) intersects [from, to).
 func (s *Store) EachClosedBucket(key storage.SeriesKey, level int, period, from, to time.Duration, fn func(storage.Bucket)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var scratch []storage.Bucket
-	for _, bf := range s.files {
-		e, ok := bf.entries[key]
-		if !ok {
-			continue
-		}
-		le := &e.levels[level]
-		if le.numClosed == 0 {
-			continue
-		}
-		chunk, err := bf.chunk(le.off, le.length)
-		if err != nil {
-			return err
-		}
-		scratch, err = storage.DecodeBuckets(scratch[:0], chunk, int(le.numClosed))
-		if err != nil {
-			return err
-		}
-		for _, b := range scratch {
-			if b.Start+period <= from || (to > 0 && b.Start >= to) {
-				continue
+	return eachChunk(s, key, func(e *seriesEntry) chunkRef { return e.levels[level] },
+		storage.DecodeBuckets, func(b storage.Bucket) {
+			if b.Start+period > from && (to <= 0 || b.Start < to) {
+				fn(b)
 			}
-			fn(b)
-		}
-	}
-	return nil
+		})
 }
 
 // EachGap streams the series' persisted gap markers inside [from, to) in
 // order.
 func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(time.Duration)) error {
+	return eachChunk(s, key, func(e *seriesEntry) chunkRef { return e.gaps },
+		storage.DecodeGaps, func(g time.Duration) {
+			if g >= from && (to <= 0 || g < to) {
+				fn(g)
+			}
+		})
+}
+
+// eachChunk is the one chunk walk under the Each* readers: in block order,
+// it reads the chunk pick selects from every file holding the series
+// (skipping empty ones), decodes it, and hands fn each item.
+func eachChunk[T any](s *Store, key storage.SeriesKey, pick func(*seriesEntry) chunkRef,
+	decode func([]T, []byte, int) ([]T, error), fn func(T)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var scratch []time.Duration
+	var scratch []T
 	for _, bf := range s.files {
 		e, ok := bf.entries[key]
-		if !ok || e.numGaps == 0 {
+		if !ok {
 			continue
 		}
-		chunk, err := bf.chunk(e.gapOff, e.gapLen)
+		c := pick(e)
+		if c.count == 0 {
+			continue
+		}
+		chunk, err := bf.chunk(c.off, c.length)
 		if err != nil {
 			return err
 		}
-		scratch, err = storage.DecodeGaps(scratch[:0], chunk, int(e.numGaps))
-		if err != nil {
+		if scratch, err = decode(scratch[:0], chunk, int(c.count)); err != nil {
 			return err
 		}
-		for _, g := range scratch {
-			if g < from || (to > 0 && g >= to) {
-				continue
-			}
-			fn(g)
+		for _, v := range scratch {
+			fn(v)
 		}
 	}
 	return nil

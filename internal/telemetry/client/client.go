@@ -213,14 +213,3 @@ func (c *Client) TopK(ctx context.Context, p TopKParams) (httpapi.TopKResult, er
 	err := c.get(ctx, "/topk", v, &out)
 	return out, err
 }
-
-// Members fetches a federation front-end's /members document: every
-// downstream daemon with its breaker position. Plain envmond daemons do
-// not serve this endpoint (404).
-func (c *Client) Members(ctx context.Context) ([]httpapi.MemberInfo, error) {
-	var out httpapi.MembersResult
-	if err := c.get(ctx, "/members", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Members, nil
-}

@@ -49,15 +49,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	// sealed data ends.
 	blocks.Each(func(key storage.SeriesKey, a block.Agg) {
 		s := st.recoverSeries(key, a.Unit)
-		s.persisted, s.count = a.Points, a.Points
-		s.gapsPersisted, s.gapCount = a.Gaps, a.Gaps
+		s.raw.seed(a.Points)
+		s.gaps.seed(a.Gaps)
 		s.minT, s.lastT, s.lastGapT = a.MinT, a.LastT, a.LastGapT
 		for l := range s.roll {
-			s.bucketsPersisted[l] = a.Buckets[l]
-			s.bucketsTotal[l] = a.Buckets[l]
+			s.roll[l].seed(a.Buckets[l])
 			if a.Tails[l] != nil {
-				s.roll[l].push(*a.Tails[l])
-				s.bucketsTotal[l]++
+				s.roll[l].append(*a.Tails[l])
 			}
 		}
 		st.samples.Add(a.Points)
@@ -78,9 +76,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, smp := range samples {
 		s := st.recoverSeries(smp.Key, smp.Unit)
 		switch {
-		case smp.Index < s.count:
+		case smp.Index < s.raw.total:
 			// already persisted (or duplicated in an older segment)
-		case smp.Index == s.count:
+		case smp.Index == s.raw.total:
 			s.append(smp.T, smp.V)
 			st.samples.Add(1)
 			st.recovered.Samples++
@@ -91,11 +89,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, g := range gaps {
 		s := st.recoverSeries(g.Key, g.Unit)
 		switch {
-		case g.Index < s.gapCount:
-		case g.Index == s.gapCount:
-			s.gaps.push(g.T)
-			s.lastGapT = g.T
-			s.gapCount++
+		case g.Index < s.gaps.total:
+		case g.Index == s.gaps.total:
+			s.appendGap(g.T)
 			st.gaps.Add(1)
 			st.recovered.Gaps++
 		default:
@@ -142,30 +138,30 @@ func (st *Store) recoverSeries(key SeriesKey, unit string) *series {
 	return s
 }
 
-// journalSampleLocked makes the sample durable before the head absorbs it:
-// compact first if absorbing it would evict unpersisted data (or the
-// segment is over budget), then append the record at the sample's absolute
-// index. Caller holds sh.mu and has validated time order.
+// journalSampleLocked makes the sample durable before the head absorbs it,
+// appending the record at the sample's absolute index. Caller holds sh.mu
+// and has validated time order.
 func (st *Store) journalSampleLocked(sh *shard, s *series, t time.Duration, v float64) error {
-	if st.samplePressureLocked(sh, s, t) {
-		if err := st.compactShardLocked(sh, false); err != nil {
-			return err
-		}
+	if err := st.journalLocked(sh, s, s.samplePressured(t)); err != nil {
+		return err
 	}
-	if s.walEpoch != sh.walEpoch {
-		ref, err := sh.wal.AppendSeries(s.key, s.unit)
-		if err != nil {
-			return err
-		}
-		s.walRef, s.walEpoch = ref, sh.walEpoch
-	}
-	return sh.wal.AppendSample(s.walRef, s.count, t, v)
+	return sh.wal.AppendSample(s.walRef, s.raw.total, t, v)
 }
 
 // journalGapLocked is journalSampleLocked for gap markers.
 func (st *Store) journalGapLocked(sh *shard, s *series, t time.Duration) error {
-	if sh.wal.Size() >= st.opts.WALSegmentBytes ||
-		(s.gaps.len() == st.opts.GapCapacity && s.gapCount-uint64(st.opts.GapCapacity) >= s.gapsPersisted) {
+	if err := st.journalLocked(sh, s, s.gaps.pressured()); err != nil {
+		return err
+	}
+	return sh.wal.AppendGap(s.walRef, s.gaps.total, t)
+}
+
+// journalLocked readies the shard's journal for one more record of s:
+// compact first if absorbing the record would evict unpersisted data
+// (pressured) or the segment is over budget, then declare the series in
+// the current segment if it is not yet. Caller holds sh.mu.
+func (st *Store) journalLocked(sh *shard, s *series, pressured bool) error {
+	if pressured || sh.wal.Size() >= st.opts.WALSegmentBytes {
 		if err := st.compactShardLocked(sh, false); err != nil {
 			return err
 		}
@@ -177,29 +173,22 @@ func (st *Store) journalGapLocked(sh *shard, s *series, t time.Duration) error {
 		}
 		s.walRef, s.walEpoch = ref, sh.walEpoch
 	}
-	return sh.wal.AppendGap(s.walRef, s.gapCount, t)
+	return nil
 }
 
-// samplePressureLocked reports whether absorbing a sample at t would push
-// unpersisted data out of a ring (the raw ring, or a full rollup ring
-// about to open a new bucket) or the WAL segment is over budget — the
-// moments compaction must run first.
-func (st *Store) samplePressureLocked(sh *shard, s *series, t time.Duration) bool {
-	if sh.wal.Size() >= st.opts.WALSegmentBytes {
-		return true
-	}
-	if s.raw.len() == st.opts.RawCapacity && s.count-uint64(st.opts.RawCapacity) >= s.persisted {
+// samplePressured reports whether absorbing a sample at t would push
+// unpersisted data out of a ring — the raw ring, or a full rollup ring
+// about to open a new bucket.
+func (s *series) samplePressured(t time.Duration) bool {
+	if s.raw.pressured() {
 		return true
 	}
 	for l, period := range rollupPeriods {
-		rb := &s.roll[l]
-		if rb.len() < st.opts.RollupCapacity {
-			continue
-		}
-		if b := rb.tail(); b != nil && b.Start == t-t%period {
+		lv := &s.roll[l]
+		if b := lv.ring.tail(); b != nil && b.Start == t-t%period {
 			continue // absorbed by the tail: no push, no eviction
 		}
-		if s.bucketsTotal[l]-uint64(st.opts.RollupCapacity) >= s.bucketsPersisted[l] {
+		if lv.pressured() {
 			return true
 		}
 	}
@@ -214,7 +203,7 @@ func (st *Store) samplePressureLocked(sh *shard, s *series, t time.Duration) boo
 func (st *Store) compactShardLocked(sh *shard, force bool) error {
 	var snaps []storage.SeriesSnapshot
 	for _, s := range sh.series {
-		if s.count > s.persisted || s.gapCount > s.gapsPersisted {
+		if s.raw.total > s.raw.persisted || s.gaps.total > s.gaps.persisted {
 			snaps = append(snaps, s.snapshotLocked())
 		}
 	}
@@ -251,52 +240,19 @@ func (st *Store) compactShardLocked(sh *shard, force bool) error {
 
 // snapshotLocked seals the series' unpersisted tail for a block writer:
 // the ring-resident samples, gaps, and sealed buckets past each watermark,
-// plus every level's open-tail state. The pressure checks guarantee the
-// unpersisted tail is still ring-resident; the clamps below only matter if
-// a capacity was shrunk between runs, where the overflow is surfaced as an
-// index hole rather than silently misattributed.
+// plus every level's open-tail state.
 func (s *series) snapshotLocked() storage.SeriesSnapshot {
-	sn := storage.SeriesSnapshot{Key: s.key, Unit: s.unit,
-		StartPoint: s.persisted, StartGap: s.gapsPersisted,
-		LastT: s.lastT, LastGapT: s.lastGapT}
-	n := uint64(s.raw.len())
-	if u := s.count - s.persisted; u > 0 {
-		if u > n {
-			u = n
-			sn.StartPoint = s.count - n
-		}
-		for i := n - u; i < n; i++ {
-			sn.Points = append(sn.Points, s.raw.at(int(i)))
-		}
-	}
-	gn := uint64(s.gaps.len())
-	if u := s.gapCount - s.gapsPersisted; u > 0 {
-		if u > gn {
-			u = gn
-			sn.StartGap = s.gapCount - gn
-		}
-		for i := gn - u; i < gn; i++ {
-			sn.Gaps = append(sn.Gaps, s.gaps.at(int(i)))
-		}
-	}
+	sn := storage.SeriesSnapshot{Key: s.key, Unit: s.unit, LastT: s.lastT, LastGapT: s.lastGapT}
+	sn.StartPoint, sn.Points = s.raw.unpersisted(0)
+	sn.StartGap, sn.Gaps = s.gaps.unpersisted(0)
 	for l := range s.roll {
-		rb := &s.roll[l]
-		bn := uint64(rb.len())
-		if bn == 0 {
+		tail := s.roll[l].ring.tail()
+		if tail == nil {
 			continue
 		}
 		lv := &sn.Levels[l]
-		lv.StartBucket = s.bucketsPersisted[l]
-		if u := (s.bucketsTotal[l] - 1) - s.bucketsPersisted[l]; u > 0 {
-			if u > bn-1 {
-				u = bn - 1
-				lv.StartBucket = (s.bucketsTotal[l] - 1) - u
-			}
-			for i := bn - 1 - u; i < bn-1; i++ {
-				lv.Closed = append(lv.Closed, rb.at(int(i)))
-			}
-		}
-		tb := *rb.tail()
+		lv.StartBucket, lv.Closed = s.roll[l].unpersisted(openBuckets)
+		tb := *tail
 		lv.Tail = &tb
 	}
 	return sn
@@ -305,12 +261,10 @@ func (s *series) snapshotLocked() storage.SeriesSnapshot {
 // markPersistedLocked advances the watermarks after a successful block
 // append: everything currently in memory is sealed.
 func (s *series) markPersistedLocked() {
-	s.persisted = s.count
-	s.gapsPersisted = s.gapCount
-	for l := range s.bucketsTotal {
-		if s.bucketsTotal[l] > 0 {
-			s.bucketsPersisted[l] = s.bucketsTotal[l] - 1
-		}
+	s.raw.markPersisted(0)
+	s.gaps.markPersisted(0)
+	for l := range s.roll {
+		s.roll[l].markPersisted(openBuckets)
 	}
 }
 
@@ -399,10 +353,10 @@ func (st *Store) MaxTime() time.Duration {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if s.count > 0 && s.lastT > max {
+			if s.raw.total > 0 && s.lastT > max {
 				max = s.lastT
 			}
-			if s.gapCount > 0 && s.lastGapT > max {
+			if s.gaps.total > 0 && s.lastGapT > max {
 				max = s.lastGapT
 			}
 		}

@@ -77,7 +77,7 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 				sh := &st.shards[i]
 				sh.mu.RLock()
 				for _, s := range sh.series {
-					evicted += s.count - uint64(s.raw.len())
+					evicted += s.raw.total - uint64(s.raw.ring.len())
 				}
 				sh.mu.RUnlock()
 			}
@@ -94,7 +94,7 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 				sh := &st.shards[i]
 				sh.mu.RLock()
 				for _, s := range sh.series {
-					n += s.gapsPersisted
+					n += s.gaps.persisted
 				}
 				sh.mu.RUnlock()
 			}
@@ -179,7 +179,7 @@ func (st *Store) persistedSamples() uint64 {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			n += s.persisted
+			n += s.raw.persisted
 		}
 		sh.mu.RUnlock()
 	}

@@ -172,7 +172,7 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 		red.Count += p.Count
 	}
 	if q.Resolution == Raw {
-		if st.blocks != nil && s.persisted > 0 {
+		if st.blocks != nil && s.raw.persisted > 0 {
 			err := st.blocks.EachPoint(s.key, q.From, q.To, func(p Point) {
 				add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
 			})
@@ -180,14 +180,8 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 				st.readErrs.Add(1)
 			}
 		}
-		// Ring entries below the watermark were already served from blocks.
-		n := s.raw.len()
-		skip := 0
-		if over := int64(s.persisted) - (int64(s.count) - int64(n)); over > 0 {
-			skip = int(over)
-		}
-		for i := skip; i < n; i++ {
-			p := s.raw.at(i)
+		for i := s.raw.served(); i < s.raw.ring.len(); i++ {
+			p := s.raw.ring.at(i)
 			if p.T < q.From || (q.To > 0 && p.T >= q.To) {
 				continue
 			}
@@ -196,7 +190,8 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 	} else {
 		period := q.Resolution.Period()
 		lvl := int(q.Resolution - 1)
-		if st.blocks != nil && s.bucketsPersisted[lvl] > 0 {
+		lv := &s.roll[lvl]
+		if st.blocks != nil && lv.persisted > 0 {
 			err := st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, func(b Bucket) {
 				add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
 			})
@@ -204,14 +199,8 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 				st.readErrs.Add(1)
 			}
 		}
-		rb := &s.roll[lvl]
-		n := rb.len()
-		skip := 0
-		if over := int64(s.bucketsPersisted[lvl]) - (int64(s.bucketsTotal[lvl]) - int64(n)); over > 0 {
-			skip = int(over)
-		}
-		for i := skip; i < n; i++ {
-			b := rb.at(i)
+		for i := lv.served(); i < lv.ring.len(); i++ {
+			b := lv.ring.at(i)
 			// include buckets overlapping the window
 			if b.Start+period <= q.From || (q.To > 0 && b.Start >= q.To) {
 				continue
@@ -219,7 +208,7 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
 		}
 	}
-	if st.blocks != nil && s.gapsPersisted > 0 {
+	if st.blocks != nil && s.gaps.persisted > 0 {
 		err := st.blocks.EachGap(s.key, q.From, q.To, func(t time.Duration) {
 			f.Gaps = append(f.Gaps, t)
 		})
@@ -227,13 +216,8 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 			st.readErrs.Add(1)
 		}
 	}
-	gn := s.gaps.len()
-	gskip := 0
-	if over := int64(s.gapsPersisted) - (int64(s.gapCount) - int64(gn)); over > 0 {
-		gskip = int(over)
-	}
-	for i := gskip; i < gn; i++ {
-		t := s.gaps.at(i)
+	for i := s.gaps.served(); i < s.gaps.ring.len(); i++ {
+		t := s.gaps.ring.at(i)
 		if t < q.From || (q.To > 0 && t >= q.To) {
 			continue
 		}

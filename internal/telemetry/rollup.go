@@ -69,34 +69,24 @@ func ParseResolution(s string) (Resolution, error) {
 	}
 }
 
-// series is one stored time series: the raw ring plus one bucket ring per
-// rollup level, all preallocated. Access is guarded by the owning shard's
-// lock.
+// series is one stored time series: the raw samples, the gap markers,
+// and one bucket stream per rollup level, each a seam over a preallocated
+// ring. Access is guarded by the owning shard's lock.
 //
-// The persistence fields track the series' position against the storage
-// engine's count seam. Every sample has an absolute index 0,1,2,… from
-// first ingest (count is one past the newest); persisted says how many
-// leading samples are sealed in blocks, and the compaction pressure checks
-// keep every unpersisted sample resident in the ring. Gap markers and
-// rollup buckets carry the same bookkeeping (a bucket's absolute index is
-// the order the series opened it at that level). In a memory-only store
-// the watermarks stay 0 and the seam degenerates to "serve the rings".
+// The seams track the series' position against the storage engine's count
+// seam: every sample, gap marker and bucket has an absolute index in its
+// stream (a bucket's is the order the series opened it at that level), and
+// the compaction pressure checks keep every unpersisted entry resident in
+// its ring.
 type series struct {
 	key      SeriesKey
 	unit     string
-	raw      pointRing
-	roll     [numRollupLevels]bucketRing
-	gaps     gapRing
-	minT     time.Duration // first sample ever (valid when count > 0)
+	raw      seam[Point]
+	gaps     seam[time.Duration]
+	roll     [numRollupLevels]seam[Bucket]
+	minT     time.Duration // first sample ever (valid when raw.total > 0)
 	lastT    time.Duration
 	lastGapT time.Duration
-	count    uint64
-	gapCount uint64
-
-	persisted        uint64                  // leading samples sealed in blocks
-	gapsPersisted    uint64                  // leading gap markers sealed in blocks
-	bucketsTotal     [numRollupLevels]uint64 // buckets ever opened per level
-	bucketsPersisted [numRollupLevels]uint64 // leading sealed buckets in blocks
 
 	walRef   uint64 // series ref in the shard's current WAL segment
 	walEpoch uint64 // shard walEpoch the ref belongs to (0 = undeclared)
@@ -104,10 +94,10 @@ type series struct {
 
 func newSeries(key SeriesKey, unit string, opts Options) *series {
 	s := &series{key: key, unit: unit,
-		raw:  newPointRing(opts.RawCapacity),
-		gaps: newGapRing(opts.GapCapacity)}
+		raw:  newSeam[Point](opts.RawCapacity),
+		gaps: newSeam[time.Duration](opts.GapCapacity)}
 	for i := range s.roll {
-		s.roll[i] = newBucketRing(opts.RollupCapacity)
+		s.roll[i] = newSeam[Bucket](opts.RollupCapacity)
 	}
 	return s
 }
@@ -116,16 +106,15 @@ func newSeries(key SeriesKey, unit string, opts Options) *series {
 // either the open tail bucket absorbs the sample or a new bucket is pushed.
 // The caller has already checked time order; t >= lastT holds.
 func (s *series) append(t time.Duration, v float64) {
-	if s.count == 0 {
+	if s.raw.total == 0 {
 		s.minT = t
 	}
-	s.raw.push(Point{T: t, V: v})
+	s.raw.append(Point{T: t, V: v})
 	s.lastT = t
-	s.count++
 	for i, period := range rollupPeriods {
 		start := t - t%period
-		rb := &s.roll[i]
-		if b := rb.tail(); b != nil && b.Start == start {
+		lv := &s.roll[i]
+		if b := lv.ring.tail(); b != nil && b.Start == start {
 			if v < b.Min {
 				b.Min = v
 			}
@@ -137,7 +126,13 @@ func (s *series) append(t time.Duration, v float64) {
 			b.Count++
 			continue
 		}
-		rb.push(Bucket{Start: start, Count: 1, Min: v, Max: v, Sum: v, Last: v})
-		s.bucketsTotal[i]++
+		lv.append(Bucket{Start: start, Count: 1, Min: v, Max: v, Sum: v, Last: v})
 	}
+}
+
+// appendGap records one failed-poll marker. The caller has already checked
+// time order.
+func (s *series) appendGap(t time.Duration) {
+	s.gaps.append(t)
+	s.lastGapT = t
 }

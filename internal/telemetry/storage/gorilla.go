@@ -88,9 +88,9 @@ func EncodePoints(dst []byte, pts []Point) []byte {
 }
 
 // DecodePoints appends the n points of a chunk produced by EncodePoints
-// to dst and returns the extended slice.
+// to dst and returns the extended slice. A non-positive n appends nothing.
 func DecodePoints(dst []Point, chunk []byte, n int) ([]Point, error) {
-	if n == 0 {
+	if n <= 0 {
 		return dst, nil
 	}
 	r := newBitReader(chunk)
@@ -253,7 +253,7 @@ func EncodeGaps(dst []byte, gaps []time.Duration) []byte {
 
 // DecodeGaps appends the n gap markers of an EncodeGaps chunk to dst.
 func DecodeGaps(dst []time.Duration, chunk []byte, n int) ([]time.Duration, error) {
-	if n == 0 {
+	if n <= 0 {
 		return dst, nil
 	}
 	first, sz := binary.Varint(chunk)

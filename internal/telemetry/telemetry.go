@@ -200,45 +200,26 @@ func New(opts Options) *Store {
 // compacted into a block first. A journaling or compaction failure rejects
 // the ingest without mutating the head.
 func (st *Store) Ingest(key SeriesKey, unit string, t time.Duration, v float64) error {
-	if st.closed.Load() {
-		st.ingestErrs.Add(1)
-		return ErrClosed
+	sh, s, err := st.lockSeries(key, unit, t)
+	if err != nil {
+		return st.reject(err)
 	}
-	if t < 0 {
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
-	}
-	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
-	sh.mu.Lock()
-	s := sh.series[key]
-	if s == nil {
-		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return ErrSeriesLimit
-		}
-		s = newSeries(key, unit, st.opts)
-		sh.series[key] = s
-		st.nseries.Add(1)
-	}
-	if s.count > 0 && t < s.lastT {
+	if s.raw.total > 0 && t < s.lastT {
 		sh.mu.Unlock()
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
+		return st.reject(ErrOutOfOrder)
 	}
 	if sh.wal != nil {
 		// Journal-append spans are sampled 1 in 1024 so the latency
 		// histogram fills without two clock reads per acknowledged sample.
 		o := st.obs
-		timed := o != nil && s.count&1023 == 0
+		timed := o != nil && s.raw.total&1023 == 0
 		var start time.Time
 		if timed {
 			start = time.Now()
 		}
 		if err := st.journalSampleLocked(sh, s, t, v); err != nil {
 			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return err
+			return st.reject(err)
 		}
 		if timed {
 			o.walStage.Observe(time.Since(start), 0)
@@ -257,13 +238,36 @@ func (st *Store) Ingest(key SeriesKey, unit string, t time.Duration, v float64) 
 // queries, as a series of gaps — and gap times must be non-decreasing per
 // series, independently of sample times.
 func (st *Store) IngestGap(key SeriesKey, unit string, t time.Duration) error {
+	sh, s, err := st.lockSeries(key, unit, t)
+	if err != nil {
+		return st.reject(err)
+	}
+	if s.gaps.total > 0 && t < s.lastGapT {
+		sh.mu.Unlock()
+		return st.reject(ErrOutOfOrder)
+	}
+	if sh.wal != nil {
+		if err := st.journalGapLocked(sh, s, t); err != nil {
+			sh.mu.Unlock()
+			return st.reject(err)
+		}
+	}
+	s.appendGap(t)
+	sh.mu.Unlock()
+	st.gaps.Add(1)
+	return nil
+}
+
+// lockSeries is the ingest paths' shared front: it rejects ingests into a
+// closed store or at a negative time, then locks the key's shard and
+// returns the series, creating it on first touch within
+// Options.MaxSeries. On error no lock is held.
+func (st *Store) lockSeries(key SeriesKey, unit string, t time.Duration) (*shard, *series, error) {
 	if st.closed.Load() {
-		st.ingestErrs.Add(1)
-		return ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if t < 0 {
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
+		return nil, nil, ErrOutOfOrder
 	}
 	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
 	sh.mu.Lock()
@@ -271,31 +275,19 @@ func (st *Store) IngestGap(key SeriesKey, unit string, t time.Duration) error {
 	if s == nil {
 		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
 			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return ErrSeriesLimit
+			return nil, nil, ErrSeriesLimit
 		}
 		s = newSeries(key, unit, st.opts)
 		sh.series[key] = s
 		st.nseries.Add(1)
 	}
-	if s.gapCount > 0 && t < s.lastGapT {
-		sh.mu.Unlock()
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
-	}
-	if sh.wal != nil {
-		if err := st.journalGapLocked(sh, s, t); err != nil {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return err
-		}
-	}
-	s.gaps.push(t)
-	s.lastGapT = t
-	s.gapCount++
-	sh.mu.Unlock()
-	st.gaps.Add(1)
-	return nil
+	return sh, s, nil
+}
+
+// reject counts a refused ingest and returns its error.
+func (st *Store) reject(err error) error {
+	st.ingestErrs.Add(1)
+	return err
 }
 
 // Close marks the store closed: subsequent Ingest calls fail with
@@ -360,12 +352,12 @@ func (st *Store) Series() []SeriesInfo {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.count, Gaps: s.gapCount,
-				Persisted: s.persisted, Newest: s.lastT}
-			if st.blocks != nil && s.count > 0 {
+			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
+				Persisted: s.raw.persisted, Newest: s.lastT}
+			if st.blocks != nil && s.raw.total > 0 {
 				info.Oldest = s.minT
-			} else if p, ok := s.raw.first(); ok {
-				info.Oldest = p.T
+			} else if s.raw.ring.len() > 0 {
+				info.Oldest = s.raw.ring.at(0).T
 			}
 			out = append(out, info)
 		}

@@ -108,15 +108,6 @@ func Create(dir string, shards int) (*WAL, error) {
 // Shard returns the i-th shard appender.
 func (w *WAL) Shard(i int) *Shard { return w.shards[i] }
 
-// Size reports the journal's total on-disk bytes across live segments.
-func (w *WAL) Size() int64 {
-	var n int64
-	for _, sh := range w.shards {
-		n += sh.size
-	}
-	return n
-}
-
 // Sync flushes every shard's segment to stable storage.
 func (w *WAL) Sync() error {
 	for _, sh := range w.shards {
